@@ -59,8 +59,14 @@ class DataLoader:
     """Infinite sampler of mini-batches from an :class:`ArrayDataset`.
 
     D-PSGD samples a fresh mini-batch per local step rather than making
-    epoch passes, so the loader exposes :meth:`sample` (with-replacement
-    shuffled batches) plus an epoch-style iterator for evaluation code.
+    epoch passes, so the loader exposes :meth:`sample` (a uniformly
+    random batch drawn without replacement, i.e. no sample twice within
+    one batch; successive batches are independent) plus an epoch-style
+    iterator for evaluation code. It takes any user-supplied
+    generator. The simulation engines do not use it: they draw every
+    node's batches at once through
+    :class:`repro.simulation.rng.BatchSampler`, which replays the same
+    ``choice`` on the nodes' Philox streams.
     """
 
     def __init__(
@@ -80,7 +86,9 @@ class DataLoader:
         self.drop_last = drop_last
 
     def sample(self) -> tuple[np.ndarray, np.ndarray]:
-        """One random mini-batch (without replacement within the batch)."""
+        """One random mini-batch: ``min(batch_size, len(dataset))``
+        distinct samples, drawn without replacement within the batch
+        (``Generator.choice(n, k, replace=False)``)."""
         n = len(self.dataset)
         k = min(self.batch_size, n)
         idx = self.rng.choice(n, size=k, replace=False)

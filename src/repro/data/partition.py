@@ -24,6 +24,7 @@ __all__ = [
     "iid_partition",
     "dirichlet_partition",
     "partition_datasets",
+    "flat_partition",
 ]
 
 
@@ -130,15 +131,25 @@ def partition_datasets(
     dataset: ArrayDataset, indices: list[np.ndarray]
 ) -> list[ArrayDataset]:
     """Materialize per-node datasets from a global dataset + index lists,
-    verifying the index lists form a disjoint family."""
-    seen: set[int] = set()
-    total = 0
-    for idx in indices:
-        total += idx.size
-        s = set(int(i) for i in idx)
-        if seen & s:
-            raise ValueError("partition indices overlap across nodes")
-        seen |= s
-    if total > len(dataset):
+    verifying the index lists form a disjoint family. The node datasets
+    are views into one copy of the selected rows (see
+    :func:`flat_partition`)."""
+    flat, bounds = flat_partition(dataset, indices)
+    return [flat.subset(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def flat_partition(
+    dataset: ArrayDataset, indices: list[np.ndarray]
+) -> tuple[ArrayDataset, np.ndarray]:
+    """One copy of every partition cell's rows, cell after cell, and the
+    ``n + 1`` cell boundaries: cell ``i`` is rows ``bounds[i] :
+    bounds[i + 1]`` of the flat dataset. Raises if the index lists
+    overlap or reference more samples than exist."""
+    flat = np.concatenate([np.asarray(idx, dtype=np.int64).reshape(-1)
+                           for idx in indices])
+    if flat.size > len(dataset):
         raise ValueError("partition references more samples than exist")
-    return [dataset.subset(idx) for idx in indices]
+    if np.unique(flat).size != flat.size:
+        raise ValueError("partition indices overlap across nodes")
+    bounds = np.concatenate([[0], np.cumsum([len(idx) for idx in indices])])
+    return dataset.subset(flat), bounds.astype(np.int64)

@@ -618,8 +618,9 @@ class BatchedTrainer:
     """Runs E stacked SGD steps on a block of node parameter rows.
 
     The trainer mirrors the serial engine's inner loop exactly: for each
-    local step it stacks one mini-batch per node, does one batched
-    forward/backward, and applies one in-place SGD update per node — the
+    local step it takes every node's mini-batch from the stacked
+    ``(k, steps, B, ...)`` input, does one batched forward/backward, and
+    applies one in-place SGD update per node — the
     same arithmetic as the serial loop, reordered from
     ``for node: for step`` into ``for step: all nodes``, which is valid
     because nodes do not interact between aggregation rounds.
@@ -636,46 +637,44 @@ class BatchedTrainer:
         self.model = vectorize_module(template)
         self.optimizer = BatchedSGD(self.model, lr=lr, weight_decay=weight_decay)
 
-    def train_block(
-        self,
-        block: np.ndarray,
-        batch_lists: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
-    ) -> np.ndarray:
-        """Train ``block[i]`` on ``batch_lists[i]`` (E batches per node),
-        in place. Returns each node's mean loss over its local steps.
+    def train_block(self, block: np.ndarray, x, y) -> np.ndarray:
+        """Train ``block[i]`` on its local steps, in place: step ``s``
+        of row ``i`` uses inputs ``x[i][s]`` and labels ``y[i][s]``.
+        Returns each row's mean loss over its local steps.
 
-        Nodes whose batch sizes differ (smaller-than-batch datasets) are
-        grouped into rectangular sub-blocks so every stack is uniform;
-        grouping never changes any node's arithmetic or RNG stream.
+        ``x``/``y`` are stacked ``(k, steps, B, ...)`` arrays, or — when
+        rows draw different batch sizes (smaller-than-batch datasets) —
+        length-``k`` sequences of per-row ``(steps, B_i, ...)`` arrays
+        (:meth:`~repro.simulation.rng.BatchSampler.sample` returns
+        either). Ragged rows are grouped into rectangular sub-blocks;
+        grouping never changes any row's arithmetic.
         """
-        if block.shape[0] != len(batch_lists):
-            raise ValueError("one batch list per block row required")
+        if block.shape[0] != len(x) or len(x) != len(y):
+            raise ValueError("one batch stack per block row required")
         if block.shape[0] == 0:
             return np.empty(0)
-        sizes = np.array([bl[0][0].shape[0] for bl in batch_lists])
-        if (sizes == sizes[0]).all():
-            return self._train_uniform(block, batch_lists)
-        losses = np.empty(len(batch_lists))
+        if isinstance(x, np.ndarray):
+            return self._train_uniform(block, x, y)
+        sizes = np.array([xi.shape[1] for xi in x])
+        losses = np.empty(len(x))
         for size in np.unique(sizes):
             pos = np.nonzero(sizes == size)[0]
             sub = block[pos]  # fancy index: a copy
-            losses[pos] = self._train_uniform(sub, [batch_lists[p] for p in pos])
+            losses[pos] = self._train_uniform(
+                sub, np.stack([x[p] for p in pos]), np.stack([y[p] for p in pos])
+            )
             block[pos] = sub
         return losses
 
-    def train_rows(
-        self,
-        state: np.ndarray,
-        ids: np.ndarray,
-        batch_lists: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
-    ) -> np.ndarray:
-        """Gather rows ``ids`` of ``state``, train each on its batch
-        list, and scatter the results back — the arbitrary-subset entry
+    def train_rows(self, state: np.ndarray, ids: np.ndarray, x, y) -> np.ndarray:
+        """Gather rows ``ids`` of ``state``, train each on its batches,
+        and scatter the results back — the arbitrary-subset entry
         point both engines use (the sync engine trains the round's
         masked nodes; the async engine one disjoint event batch).
 
         ``ids`` may list rows in any order and the order is honoured:
-        ``state[ids[p]]`` trains on ``batch_lists[p]``. The gather is a
+        ``state[ids[p]]`` trains on ``x[p]``/``y[p]`` (see
+        :meth:`train_block` for their layout). The gather is a
         fancy-index copy, so rows not listed are never touched. Returns
         per-row mean losses in ``ids`` order.
         """
@@ -683,23 +682,17 @@ class BatchedTrainer:
         if ids.size == 0:
             return np.empty(0)
         block = state[ids]  # fancy index: a copy
-        losses = self.train_block(block, batch_lists)
+        losses = self.train_block(block, x, y)
         state[ids] = block
         return losses
 
-    def _train_uniform(
-        self,
-        block: np.ndarray,
-        batch_lists: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
-    ) -> np.ndarray:
+    def _train_uniform(self, block: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         self.model.bind(block)
-        local_steps = len(batch_lists[0])
+        local_steps = x.shape[1]
         total = np.zeros(block.shape[0])
         for step in range(local_steps):
-            x = np.stack([bl[step][0] for bl in batch_lists])
-            y = np.stack([bl[step][1] for bl in batch_lists])
-            logits = self.model.forward(x)
-            losses, grad = F.batched_cross_entropy(logits, y)
+            logits = self.model.forward(np.ascontiguousarray(x[:, step]))
+            losses, grad = F.batched_cross_entropy(logits, y[:, step])
             total += losses
             self.model.backward(grad)
             self.optimizer.step()

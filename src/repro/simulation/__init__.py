@@ -14,6 +14,7 @@ from .async_engine import (
 )
 from .builder import build_engine, build_nodes
 from .checkpoint import (
+    CheckpointError,
     load_async_run_checkpoint,
     load_checkpoint,
     load_run_checkpoint,
@@ -48,7 +49,7 @@ from .network import MessagePassingNetwork, TrafficStats
 from .node import Node
 from .node_shard import NodeShardError, NodeShardPool, shard_blocks
 from .parallel import ParallelSimulationEngine
-from .rng import RngFactory, generator_state, restore_generator
+from .rng import BatchSampler, RngFactory, generator_state, restore_generator
 from .state_store import (
     MemoryStateStore,
     MmapStateStore,
@@ -58,6 +59,7 @@ from .state_store import (
 )
 
 __all__ = [
+    "BatchSampler",
     "RngFactory",
     "Node",
     "build_nodes",
@@ -93,6 +95,7 @@ __all__ = [
     "local_test_sets",
     "participation_gini",
     "per_node_accuracy",
+    "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",
     "save_run_checkpoint",

@@ -40,8 +40,9 @@ Randomness is split across three independent streams so trajectories
 never depend on observation choices: the event stream (Poisson clocks +
 partner choice), the evaluation stream (node subsampling — changing
 ``eval_every`` or ``eval_node_sample`` cannot alter the trajectory),
-and each node's batch stream. All of them — plus the event heap,
-counters, and policy state — round-trip through
+and each node's batch stream (one row of the fleet's
+:class:`~repro.simulation.rng.BatchSampler`). All of them — plus the
+event heap, counters, and policy state — round-trip through
 :meth:`AsyncGossipEngine.state_dict`, so a killed run restored via
 :func:`~repro.simulation.checkpoint.load_async_run_checkpoint`
 continues bit-for-bit from any event boundary.
@@ -58,7 +59,11 @@ counters, rng streams, history records — is **bit-identical** to the
 serial event loop (the same contract the sync engine's ``vectorized``
 flag keeps), because batched events touch disjoint state rows, each
 node's batch rng stream is private, and all shared randomness is
-consumed in serial event order at planning time. Two observable
+consumed in serial event order at planning time. A window's batch
+draws happen in one sampler call before its first batch runs (a node
+that trains twice in a window takes consecutive batches of its stream,
+in order); each batch gathers its mini-batches from those indices only
+when it runs. Two observable
 differences remain: ``event_hook`` fires once per completed window
 (always an evaluation boundary) instead of once per event, and models
 without a batched mirror raise
@@ -87,13 +92,14 @@ from ..nn.optim import SGD
 from ..nn.serialization import parameter_vector, set_parameter_vector
 from .event_batch import EventBatch, plan_window
 from .metrics import consensus_distance, evaluate_state, membership_eval_pool
-from .node import Node
+from .node import Node, shared_sampler
 from .rng import generator_state, restore_generator
 from .state_store import make_state_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.churn import ChurnSchedule
     from .failures import FailureModel
+    from .rng import BatchSampler
 
 __all__ = [
     "AsyncPolicy",
@@ -319,6 +325,7 @@ class AsyncGossipEngine:
             raise ValueError("churn schedule node count mismatch")
         self.model = model
         self.nodes = nodes
+        shared_sampler(nodes)  # every node is its row of one sampler
         self.neighbors = neighbor_lists
         self.test_set = test_set
         self.local_steps = local_steps
@@ -357,6 +364,12 @@ class AsyncGossipEngine:
         return len(self.nodes)
 
     @property
+    def sampler(self) -> "BatchSampler":
+        """The batch sampler all nodes share (node ``i`` is row ``i``);
+        read through the nodes, so swapping ``nodes`` swaps streams."""
+        return self.nodes[0].sampler
+
+    @property
     def state(self) -> np.ndarray:
         """The ``(n, dim)`` node-state matrix, backed by the configured
         :mod:`~repro.simulation.state_store` backend. Event execution
@@ -375,9 +388,8 @@ class AsyncGossipEngine:
 
     def _train_node(self, i: int) -> None:
         set_parameter_vector(self.model, self.state[i])
-        node = self.nodes[i]
-        for _ in range(self.local_steps):
-            xb, yb = node.sample_batch()
+        x, y = self.sampler.sample([i], self.local_steps)
+        for xb, yb in zip(x[0], y[0]):
             logits = self.model(xb)
             self.loss.forward(logits, yb)
             self.model.zero_grad()
@@ -454,26 +466,40 @@ class AsyncGossipEngine:
                 )
         self._churn_round = t
 
+    def _draw_window(self, batches: list[EventBatch]) -> None:
+        """Draw every training batch of a planned window in one sampler
+        call and attach each batch's sample indices as
+        ``batch.samples``; :meth:`_execute_batch` gathers the data, so
+        only one disjoint batch's tensors are alive at a time. Within a
+        window a node may train more than once; its occurrences take
+        consecutive batches of its stream in event order, exactly as
+        per-event draws would."""
+        ids = [i for batch in batches for i in batch.train_ids]
+        if not ids:
+            return
+        flat = self.sampler.draw(ids, self.local_steps)
+        lo = 0
+        for batch in batches:
+            hi = lo + len(batch.train_ids)
+            batch.samples = flat[lo:hi]
+            lo = hi
+
     def _execute_batch(self, batch: EventBatch) -> None:
         """Apply one planned disjoint batch to the state matrix: churn
         handoffs first (the batch opener's serial position), then one
-        stacked training pass over the batch's activators, then the
-        pairwise gossip averages in original event order. All node sets
-        in the batch are pairwise disjoint, so this ordering is
-        arithmetically identical to the serial per-event interleaving.
+        stacked training pass over the batch's activators on the
+        mini-batches at ``batch.samples``, then the pairwise gossip
+        averages in original event order. All node sets in the batch
+        are pairwise disjoint, so this ordering is arithmetically
+        identical to the serial per-event interleaving.
         """
         if batch.churn_t is not None:
             self._advance_churn(batch.churn_t)
         if batch.train_ids:
-            assert self._trainer is not None
-            batch_lists = [
-                [self.nodes[i].sample_batch() for _ in range(self.local_steps)]
-                for i in batch.train_ids
-            ]
+            assert self._trainer is not None and batch.samples is not None
             self._trainer.train_rows(
-                self.state,
-                np.asarray(batch.train_ids, dtype=np.int64),
-                batch_lists,
+                self.state, np.asarray(batch.train_ids, dtype=np.int64),
+                *self.sampler.gather(batch.samples),
             )
         for i, j in batch.gossips:
             # same in-place add-then-halve as _gossip: bit-identical
@@ -501,6 +527,7 @@ class AsyncGossipEngine:
         while event < total_events:
             end = min((event // eval_every + 1) * eval_every, total_events)
             plan = plan_window(self, policy, event, end)
+            self._draw_window(plan.batches)
             for batch in plan.batches:
                 self._execute_batch(batch)
             # window ends are exactly the serial loop's eval events
@@ -565,12 +592,7 @@ class AsyncGossipEngine:
                                   dtype=np.int64),
             "rng": generator_state(self.rng),
             "eval_rng": generator_state(self.eval_rng),
-            "node_rngs": [generator_state(node.loader.rng)
-                          for node in self.nodes],
-            "node_steps_done": np.array(
-                [node.local_steps_done for node in self.nodes],
-                dtype=np.int64,
-            ),
+            "sampler": self.sampler.state_dict(),
             "churn_round": int(self._churn_round),
         }
 
@@ -591,12 +613,7 @@ class AsyncGossipEngine:
                 f"snapshot has {queue_ids.shape[0]} pending events, "
                 f"expected one per node ({self.n_nodes})"
             )
-        node_rngs = sd["node_rngs"]
-        if len(node_rngs) != self.n_nodes:
-            raise ValueError(
-                f"snapshot has {len(node_rngs)} node rng streams, "
-                f"engine has {self.n_nodes} nodes"
-            )
+        self.sampler.load_state_dict(sd["sampler"])
         self.state[...] = state
         self.activation_counts[...] = np.asarray(sd["activation_counts"],
                                                  dtype=np.int64)
@@ -611,10 +628,6 @@ class AsyncGossipEngine:
         self.rng = restore_generator(sd["rng"])
         self.eval_rng = restore_generator(sd["eval_rng"])
         self._churn_round = int(sd.get("churn_round", 0))
-        steps_done = np.asarray(sd["node_steps_done"], dtype=np.int64)
-        for node, rng_state, steps in zip(self.nodes, node_rngs, steps_done):
-            node.loader.rng = restore_generator(rng_state)
-            node.local_steps_done = int(steps)
 
     # -- public API -----------------------------------------------------------
 

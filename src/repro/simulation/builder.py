@@ -6,12 +6,12 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..data.dataset import ArrayDataset, DataLoader
-from ..data.partition import iid_partition, partition_datasets, shard_partition
+from ..data.dataset import ArrayDataset
+from ..data.partition import flat_partition, iid_partition, shard_partition
 from ..energy.devices import DeviceProfile
 from ..energy.traces import assign_devices_round_robin
 from .node import Node
-from .rng import RngFactory
+from .rng import BatchSampler, RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data.synthetic import SyntheticSpec
@@ -30,20 +30,27 @@ def build_nodes(
 ) -> list[Node]:
     """Materialize one :class:`Node` per partition cell.
 
-    Each node gets an independent batch-sampling stream; devices default
-    to the paper's round-robin assignment over the four phones.
+    The nodes share one :class:`BatchSampler` whose row ``i`` is node
+    ``i``'s batch stream (``rngs.node_stream("batch", i)``, held as
+    arrays); node datasets are views into the sampler's flat copy of
+    the partitioned rows. Devices default to the paper's round-robin
+    assignment over the four phones.
     """
-    parts = partition_datasets(global_train, partition)
-    n = len(parts)
+    flat, bounds = flat_partition(global_train, partition)
+    n = len(partition)
     if devices is None:
         devices = assign_devices_round_robin(n)
     if len(devices) != n:
         raise ValueError("one device per node required")
-    nodes = []
-    for i, ds in enumerate(parts):
-        loader = DataLoader(ds, batch_size=batch_size, rng=rngs.node_stream("batch", i))
-        nodes.append(Node(node_id=i, dataset=ds, loader=loader, device=devices[i]))
-    return nodes
+    sampler = BatchSampler(
+        rngs.node_keys("batch", n), np.diff(bounds), batch_size,
+        x=flat.x, y=flat.y,
+    )
+    return [
+        Node(node_id=i, dataset=flat.subset(slice(lo, hi)), sampler=sampler,
+             device=devices[i])
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 def build_engine(

@@ -44,6 +44,14 @@ checkpoint behind:
   an event boundary *inside* a batch window simply starts the resumed
   vectorized run with a shorter first window (batched mode itself
   checkpoints at evaluation boundaries, where its hook fires).
+
+Every node's batch stream is stored as the
+:class:`~repro.simulation.rng.BatchSampler` arrays (``sampler_key``,
+``sampler_counter``, ...). A run checkpoint without them — one written
+before batch streams were held as arrays, which stored them as
+``node_rng_json`` — or with an array of the wrong shape raises
+:class:`CheckpointError` naming the file and the key: a run never
+resumes with fresh streams.
 """
 
 from __future__ import annotations
@@ -57,9 +65,10 @@ from ..core.base import Algorithm
 from .async_engine import AsyncGossipEngine, AsyncHistory, AsyncPolicy, AsyncRecord
 from .engine import SimulationEngine
 from .metrics import RoundRecord, RunHistory
-from .rng import generator_state, restore_generator
+from .rng import BatchSampler, generator_state, restore_generator
 
 __all__ = [
+    "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",
     "save_run_checkpoint",
@@ -67,6 +76,34 @@ __all__ = [
     "save_async_run_checkpoint",
     "load_async_run_checkpoint",
 ]
+
+
+class CheckpointError(ValueError):
+    """A run checkpoint that cannot be resumed exactly: an older
+    layout, a missing key or a misshapen array. The message names the
+    file and the key."""
+
+
+def _sampler_payload(sampler_sd: dict) -> dict:
+    return {f"sampler_{name}": value for name, value in sampler_sd.items()}
+
+
+def _archived_sampler(
+    archive: np.lib.npyio.NpzFile, path: str | os.PathLike
+) -> dict:
+    """The checkpoint's sampler arrays, keyed by state field."""
+    sd = {}
+    for name, _, _ in BatchSampler.STATE_FIELDS:
+        key = f"sampler_{name}"
+        if key not in archive:
+            hint = (
+                " (it stores batch streams as 'node_rng_json', the layout "
+                "before the array-backed sampler; re-run the cell)"
+                if "node_rng_json" in archive else ""
+            )
+            raise CheckpointError(f"{os.fspath(path)}: checkpoint lacks {key!r}{hint}")
+        sd[name] = archive[key]
+    return sd
 
 
 def _atomic_savez(path: str | os.PathLike, payload: dict) -> None:
@@ -214,12 +251,7 @@ def save_run_checkpoint(
             "state; use a deterministic compressor"
         )
     payload = _engine_payload(engine, round_index)
-    payload["node_rng_json"] = np.array(
-        json.dumps([generator_state(node.loader.rng) for node in engine.nodes])
-    )
-    payload["node_steps_done"] = np.array(
-        [node.local_steps_done for node in engine.nodes], dtype=np.int64
-    )
+    payload.update(_sampler_payload(engine.sampler.state_dict()))
     payload["eval_rng_json"] = np.array(json.dumps(generator_state(engine.eval_rng)))
     payload["algo_name"] = np.array(algorithm.name)
     payload["algo_json"] = np.array(json.dumps(algorithm.state_dict()))
@@ -247,25 +279,21 @@ def load_run_checkpoint(
 
     ``engine`` and ``algorithm`` must be freshly constructed exactly as
     for the original run (same preset/seed wiring); name and shape
-    mismatches fail loudly.
+    mismatches fail loudly (:class:`CheckpointError` for the sampler
+    arrays).
     """
     with np.load(path) as archive:
-        if "node_rng_json" not in archive:
+        if "algo_json" not in archive:
             raise ValueError(
                 "not a run checkpoint (engine-only checkpoints restore "
                 "via load_checkpoint)"
             )
+        sampler = _archived_sampler(archive, path)
+        try:
+            engine.sampler.load_state_dict(sampler)
+        except ValueError as exc:
+            raise CheckpointError(f"{os.fspath(path)}: {exc}") from None
         round_index = _restore_engine(engine, archive)
-        node_states = json.loads(str(archive["node_rng_json"]))
-        if len(node_states) != len(engine.nodes):
-            raise ValueError(
-                f"checkpoint has {len(node_states)} node rng streams, "
-                f"engine has {len(engine.nodes)} nodes"
-            )
-        steps_done = archive["node_steps_done"]
-        for node, rng_state, steps in zip(engine.nodes, node_states, steps_done):
-            node.loader.rng = restore_generator(rng_state)
-            node.local_steps_done = int(steps)
         engine.eval_rng = restore_generator(json.loads(str(archive["eval_rng_json"])))
         saved_name = str(archive["algo_name"])
         if saved_name != algorithm.name:
@@ -347,8 +375,7 @@ def save_async_run_checkpoint(
         "queue_ids": sd["queue_ids"],
         "event_rng_json": np.array(json.dumps(sd["rng"])),
         "eval_rng_json": np.array(json.dumps(sd["eval_rng"])),
-        "node_rng_json": np.array(json.dumps(sd["node_rngs"])),
-        "node_steps_done": sd["node_steps_done"],
+        **_sampler_payload(sd["sampler"]),
         "policy_name": np.array(policy.name),
         "policy_json": np.array(json.dumps(policy.state_dict())),
         "history_policy": np.array(history.policy),
@@ -389,25 +416,24 @@ def load_async_run_checkpoint(
                 f"checkpoint was taken with policy {saved_name!r}, "
                 f"got {policy.name!r}"
             )
-        engine.load_state_dict(
-            {
-                "state": archive["state"],
-                "activation_counts": archive["activation_counts"],
-                "train_counts": archive["train_counts"],
-                "train_energy_wh": float(archive["train_energy_wh"]),
-                "queue_times": archive["queue_times"],
-                "queue_ids": archive["queue_ids"],
-                "rng": json.loads(str(archive["event_rng_json"])),
-                "eval_rng": json.loads(str(archive["eval_rng_json"])),
-                "node_rngs": json.loads(str(archive["node_rng_json"])),
-                "node_steps_done": archive["node_steps_done"],
-                "churn_round": (
-                    int(archive["churn_round"])
-                    if "churn_round" in archive
-                    else 0
-                ),
-            }
-        )
+        snapshot = {
+            "state": archive["state"],
+            "activation_counts": archive["activation_counts"],
+            "train_counts": archive["train_counts"],
+            "train_energy_wh": float(archive["train_energy_wh"]),
+            "queue_times": archive["queue_times"],
+            "queue_ids": archive["queue_ids"],
+            "rng": json.loads(str(archive["event_rng_json"])),
+            "eval_rng": json.loads(str(archive["eval_rng_json"])),
+            "sampler": _archived_sampler(archive, path),
+            "churn_round": (
+                int(archive["churn_round"]) if "churn_round" in archive else 0
+            ),
+        }
+        try:
+            engine.load_state_dict(snapshot)
+        except ValueError as exc:
+            raise CheckpointError(f"{os.fspath(path)}: {exc}") from None
         policy.load_state_dict(json.loads(str(archive["policy_json"])))
         records = [
             AsyncRecord(

@@ -29,8 +29,10 @@ The local-training stage comes in two implementations selected by
   runs every local step as stacked ``(k, B, ...)`` GEMM/elementwise
   kernels, one kernel per layer regardless of ``k``.
 
-Bit-compatibility contract: the vectorized path consumes each node's
-batch RNG stream in the same order as the serial path and every batched
+Both paths draw the round's mini-batch indices for every masked node in
+one vectorized call (:meth:`repro.simulation.rng.BatchSampler.draw`).
+Bit-compatibility contract: each node's batch stream is consumed
+identically whichever path trains it, and every batched
 kernel is slice-for-slice bit-identical to its serial counterpart, so
 for plain SGD (any ``weight_decay``, ``momentum == 0``) the resulting
 ``state`` matrix and :class:`RunHistory` are **exactly equal** — not
@@ -62,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.compression import Compressor
     from ..scenarios.churn import ChurnSchedule
     from .failures import FailureModel
+    from .rng import BatchSampler
 from ..data.dataset import ArrayDataset
 from ..energy.accounting import EnergyMeter
 from ..nn.batched import BatchedTrainer, make_evaluator
@@ -76,7 +79,7 @@ from .metrics import (
     evaluate_state,
     membership_eval_pool,
 )
-from .node import Node
+from .node import Node, shared_sampler
 from .state_store import STATE_BACKENDS, make_state_store
 
 __all__ = ["EngineConfig", "SimulationEngine"]
@@ -195,6 +198,7 @@ class SimulationEngine:
             raise ValueError("energy meter node count mismatch")
         self.model = model
         self.nodes = nodes
+        shared_sampler(nodes)  # every node is its row of one sampler
         self.config = config
         self.test_set = test_set
         self.meter = meter
@@ -242,6 +246,12 @@ class SimulationEngine:
         return len(self.nodes)
 
     @property
+    def sampler(self) -> "BatchSampler":
+        """The batch sampler all nodes share (node ``i`` is row ``i``);
+        read through the nodes, so swapping ``nodes`` swaps streams."""
+        return self.nodes[0].sampler
+
+    @property
     def state(self) -> np.ndarray:
         """The ``(n, dim)`` node-state matrix, backed by the configured
         :mod:`~repro.simulation.state_store` backend. Assignment routes
@@ -269,76 +279,66 @@ class SimulationEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _train_node(self, i: int) -> float:
-        """E local SGD steps on node i, updating ``state[i]`` in place.
-        Returns the node's mean training loss over its local steps."""
-        set_parameter_vector(self.model, self.state[i])
-        node = self.nodes[i]
+    def _train_row(self, row: np.ndarray, flat: np.ndarray) -> float:
+        """E local SGD steps on one parameter row, in place, step ``s``
+        on the samples at ``flat[s]`` (one row of a
+        :meth:`~repro.simulation.rng.BatchSampler.draw` result, gathered
+        here so only one node's batches are alive at a time). Returns
+        the mean training loss over the local steps."""
+        (x,), (y,) = self.sampler.gather(flat[None])
+        set_parameter_vector(self.model, row)
         total_loss = 0.0
-        for _ in range(self.config.local_steps):
-            xb, yb = node.sample_batch()
+        for xb, yb in zip(x, y):
             logits = self.model(xb)
             total_loss += self.loss.forward(logits, yb)
             self.model.zero_grad()
             self.model.backward(self.loss.backward())
             self.optimizer.step()
-        parameter_vector(self.model, out=self.state[i])
+        parameter_vector(self.model, out=row)
         return total_loss / self.config.local_steps
 
     def _train_round(self, mask: np.ndarray) -> list[float]:
         """Local-training stage: E SGD steps on every masked node.
 
-        Dispatches to the vectorized block trainer or the serial
-        per-node loop; both consume each node's batch stream in the same
-        order and return per-node mean losses in ascending node order
-        (empty when no node trains this round).
+        Draws every masked node's E batches in one sampler call, then
+        dispatches to the vectorized block trainer or the serial
+        per-node loop; both return per-node mean losses in ascending
+        node order (empty when no node trains this round).
         """
         ids = np.nonzero(mask)[0]
         if self._node_sharder is not None:
             return self._node_sharder.train_round(self, ids)
-        if self._trainer is None:
-            return [self._train_node(int(i)) for i in ids]
         if ids.size == 0:
             return []
-        # Sample every node's E batches up front, in ascending node
-        # order — identical RNG stream consumption to the serial loop.
-        batch_lists = [
-            [self.nodes[int(i)].sample_batch() for _ in range(self.config.local_steps)]
-            for i in ids
-        ]
-        return self._trainer.train_rows(self.state, ids, batch_lists).tolist()
+        flat = self.sampler.draw(ids, self.config.local_steps)
+        if self._trainer is None:
+            return [self._train_row(self.state[i], flat[p])
+                    for p, i in enumerate(ids)]
+        x, y = self.sampler.gather(flat)
+        return self._trainer.train_rows(self.state, ids, x, y).tolist()
 
     def _train_block(
-        self, block: np.ndarray, batch_lists: list
+        self, block: np.ndarray, flat: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pure block trainer for node-axis sharding: train ``block``'s
-        rows against pre-sampled ``batch_lists`` (one list of ``(xb,
-        yb)`` pairs per row) and return ``(trained rows, per-row mean
-        losses)``. Reads no rng stream and touches neither ``state``
-        nor the meter, so a forked worker can run it on shipped rows;
-        both implementations are bit-identical to training the same
-        rows in the parent (the serial branch is :meth:`_train_node`
-        minus the state indexing, the vectorized branch is the same
-        stacked kernels over a smaller row block)."""
+        rows on the samples at ``flat`` (a
+        :meth:`~repro.simulation.rng.BatchSampler.draw` result, one
+        row per block row) and return ``(trained rows, per-row mean
+        losses)``. Draws no batch and touches neither ``state`` nor the
+        meter, so a forked worker can run it on shipped rows and
+        indices; both implementations are bit-identical to training the
+        same rows in the parent (the serial branch is
+        :meth:`_train_row`, the vectorized branch the same stacked
+        kernels over a smaller row block)."""
         out = np.array(block, dtype=np.float64, copy=True)
-        k = out.shape[0]
         if self._trainer is not None:
+            x, y = self.sampler.gather(flat)
             losses = self._trainer.train_rows(
-                out, np.arange(k, dtype=np.int64), batch_lists
+                out, np.arange(out.shape[0], dtype=np.int64), x, y
             )
             return out, np.asarray(losses, dtype=np.float64)
-        losses = np.empty(k, dtype=np.float64)
-        for r in range(k):
-            set_parameter_vector(self.model, out[r])
-            total_loss = 0.0
-            for xb, yb in batch_lists[r]:
-                logits = self.model(xb)
-                total_loss += self.loss.forward(logits, yb)
-                self.model.zero_grad()
-                self.model.backward(self.loss.backward())
-                self.optimizer.step()
-            parameter_vector(self.model, out=out[r])
-            losses[r] = total_loss / self.config.local_steps
+        losses = np.array([self._train_row(out[r], flat[r])
+                           for r in range(out.shape[0])], dtype=np.float64)
         return out, losses
 
     def _mixing_for_round(self, t: int) -> sp.csr_matrix:

@@ -66,12 +66,16 @@ class EventBatch:
     training (set only on the batch a churn round opened);
     ``train_ids`` the activators to train, and ``gossips`` the
     (activator, partner) averages to apply after training — both in
-    original event order.
+    original event order. ``samples`` holds the activators' drawn
+    sample indices (a :meth:`~repro.simulation.rng.BatchSampler.draw`
+    result, one row per ``train_ids`` entry), which the engine attaches
+    for the whole window before executing it.
     """
 
     churn_t: int | None = None
     train_ids: list[int] = field(default_factory=list)
     gossips: list[tuple[int, int]] = field(default_factory=list)
+    samples: np.ndarray | None = None
 
 
 @dataclass

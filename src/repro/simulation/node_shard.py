@@ -5,8 +5,9 @@ cells; at fleet scale a single cell is itself the bottleneck — one
 n=16384 round is 16384 local-training problems that are embarrassingly
 parallel. This module shards the **node axis** of one cell across
 long-lived fork workers: each worker owns a contiguous block of node
-ids, receives ``(state rows, pre-sampled batches)`` per round, runs the
-engine's pure block trainer
+ids, receives ``(state rows, sample indices)`` per round, gathers its
+rows' mini-batches from the data it inherited through the fork, runs
+the engine's pure block trainer
 (:meth:`~repro.simulation.engine.SimulationEngine._train_block`), and
 ships the trained rows back; the parent scatters them and runs the
 gossip GEMM over the merged matrix.
@@ -14,13 +15,14 @@ gossip GEMM over the merged matrix.
 Bit-identity contract — sharded artifacts are byte-identical to
 unsharded ones:
 
-* Every rng stream stays in the parent. Batches are pre-sampled there
-  in ascending node order, which consumes each node's *independent*
-  batch stream exactly as the serial interleaved loop does (the same
-  argument the vectorized trainer already relies on). Checkpoints
-  therefore capture the true stream positions, and kill/resume works
-  across sharded and unsharded processes.
-* Block training is a pure function of (rows, batches): plain SGD has
+* Every rng stream stays in the parent. The round's sample indices are
+  drawn there in one :meth:`~repro.simulation.rng.BatchSampler.draw`
+  call, which consumes each node's *independent* batch stream exactly
+  as the unsharded engines do; workers receive index arrays, not
+  pickled batches. Checkpoints therefore capture the true stream
+  positions, and kill/resume works across sharded and unsharded
+  processes.
+* Block training is a pure function of (rows, indices): plain SGD has
   no cross-node state (``momentum > 0`` is rejected at construction,
   the same exclusion the vectorized path makes), so partitioning the
   node loop cannot change any trained row's bits.
@@ -76,8 +78,8 @@ def _worker_main(engine: "SimulationEngine", conn) -> None:
             task = conn.recv()
             if task is None:
                 return
-            block, batch_lists = task
-            out, losses = engine._train_block(block, batch_lists)
+            block, flat = task
+            out, losses = engine._train_block(block, flat)
             conn.send(("ok", out, losses))
     except BaseException:
         try:
@@ -126,16 +128,12 @@ class NodeShardPool:
         self, engine: "SimulationEngine", ids: np.ndarray
     ) -> list[float]:
         """One round's local-training stage over masked node ids
-        (ascending): pre-sample every node's batches parent-side, fan
+        (ascending): draw every node's sample indices parent-side, fan
         the blocks out, scatter the trained rows back. Returns per-node
         mean losses in ascending node order."""
         if ids.size == 0:
             return []
-        steps = engine.config.local_steps
-        batch_lists = [
-            [engine.nodes[int(i)].sample_batch() for _ in range(steps)]
-            for i in ids
-        ]
+        flat = engine.sampler.draw(ids, engine.config.local_steps)
         state = engine.state
         dispatched: list[tuple[int, np.ndarray]] = []
         for k, (lo, hi) in enumerate(self.blocks):
@@ -144,7 +142,7 @@ class NodeShardPool:
             if a == b:
                 continue
             block_ids = ids[a:b]
-            self._conns[k].send((state[block_ids], batch_lists[a:b]))
+            self._conns[k].send((state[block_ids], flat[a:b]))
             dispatched.append((k, block_ids))
         losses: list[float] = []
         for k, block_ids in dispatched:

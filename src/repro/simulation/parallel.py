@@ -14,8 +14,8 @@ process-parallel and vectorized speedups compose: ``n_workers`` blocks
 each doing stacked-GEMM training. Blocks also amortize pickling: one
 task per worker per round instead of one per node.
 
-Determinism is preserved by sampling every mini-batch in the *parent*
-process (sampling is index arithmetic — cheap) and shipping
+Determinism is preserved by drawing every mini-batch in the *parent*
+process (one vectorized sampler call per round) and shipping
 ``(block, batches)`` to workers that only run the compute-heavy SGD
 steps. The result is bit-identical to the serial engine — and to the
 vectorized single-process engine — because the parent consumes each
@@ -63,15 +63,14 @@ def _init_worker(
     _WORKER_TRAINER = None
 
 
-def _train_block(
-    args: tuple[np.ndarray, list[list[tuple[np.ndarray, np.ndarray]]], bool],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Train one ``(m, dim)`` block of node rows (worker side).
+def _train_block(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Train one ``(m, dim)`` block of node rows (worker side) on
+    batches ``(x, y)``, row ``r``'s step ``s`` being ``x[r][s]``.
 
     Returns ``(rows, losses)`` where ``losses[i]`` is row ``i``'s mean
     training loss over its local steps.
     """
-    rows, batch_lists, vectorized = args
+    rows, x, y, vectorized = args
     model = _WORKER_MODEL
     assert model is not None, "worker not initialized"
     if vectorized:
@@ -80,11 +79,11 @@ def _train_block(
             _WORKER_TRAINER = BatchedTrainer(
                 model, lr=_WORKER_LR, weight_decay=_WORKER_WEIGHT_DECAY
             )
-        losses = _WORKER_TRAINER.train_block(rows, batch_lists)
+        losses = _WORKER_TRAINER.train_block(rows, x, y)
         return rows, losses
     loss = CrossEntropyLoss()
     losses = np.empty(rows.shape[0])
-    for r, batches in enumerate(batch_lists):
+    for r in range(rows.shape[0]):
         # Fresh optimizer per row: momentum velocity must not leak from
         # one node to the next within a block, or results would depend
         # on how the masked ids were partitioned into blocks.
@@ -96,33 +95,35 @@ def _train_block(
         )
         set_parameter_vector(model, rows[r])
         total = 0.0
-        for xb, yb in batches:
+        for xb, yb in zip(x[r], y[r]):
             logits = model(xb)
             total += loss.forward(logits, yb)
             model.zero_grad()
             model.backward(loss.backward())
             opt.step()
         parameter_vector(model, out=rows[r])
-        losses[r] = total / len(batches)
+        losses[r] = total / len(x[r])
     return rows, losses
 
 
 def train_rows_serial(
     model: Module,
     rows: np.ndarray,
-    batch_lists: list[list[tuple[np.ndarray, np.ndarray]]],
+    x,
+    y,
     lr: float,
     momentum: float = 0.0,
     weight_decay: float = 0.0,
 ) -> np.ndarray:
     """Reference serial implementation of the worker loop (used by the
-    equivalence tests)."""
+    equivalence tests): row ``r`` trains on ``(x[r][s], y[r][s])`` for
+    each step ``s``."""
     out = np.empty_like(rows)
     loss = CrossEntropyLoss()
     opt = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
-    for r, batches in enumerate(batch_lists):
+    for r in range(rows.shape[0]):
         set_parameter_vector(model, rows[r])
-        for xb, yb in batches:
+        for xb, yb in zip(x[r], y[r]):
             logits = model(xb)
             loss.forward(logits, yb)
             model.zero_grad()
@@ -208,17 +209,17 @@ class ParallelSimulationEngine(SimulationEngine):
         ids = np.nonzero(mask)[0]
         if not ids.size:
             return []
-        # Sample all batches in the parent to keep rng streams identical
+        # Draw all batches in the parent to keep rng streams identical
         # to the serial engine.
         cfg = self.config
+        x, y = self.sampler.sample(ids, cfg.local_steps)
         blocks = self._node_blocks(ids)
         tasks = []
+        lo = 0
         for block_ids in blocks:
-            batch_lists = [
-                [self.nodes[int(i)].sample_batch() for _ in range(cfg.local_steps)]
-                for i in block_ids
-            ]
-            tasks.append((self.state[block_ids], batch_lists, cfg.vectorized))
+            hi = lo + block_ids.size
+            tasks.append((self.state[block_ids], x[lo:hi], y[lo:hi], cfg.vectorized))
+            lo = hi
         results = self.pool.map(_train_block, tasks)
         losses: list[float] = []
         for block_ids, (rows, block_losses) in zip(blocks, results):

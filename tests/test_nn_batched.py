@@ -35,6 +35,16 @@ def _rows_for(model, k, jitter=0.01):
     return np.tile(base, (k, 1)) + jitter * RNG.normal(size=(k, base.size))
 
 
+def _as_xy(batch_lists):
+    """The trainer's ``(x, y)`` layout of per-row lists of ``(xb, yb)``
+    steps: stacked when every batch has one size, per-row otherwise."""
+    x = [np.stack([xb for xb, _ in bl]) for bl in batch_lists]
+    y = [np.stack([yb for _, yb in bl]) for bl in batch_lists]
+    if len({xi.shape for xi in x}) == 1:
+        return np.stack(x), np.stack(y)
+    return x, y
+
+
 def _serial_reference(model, rows, batch_lists, lr, weight_decay=0.0):
     """Per-node loop with the serial layers: the ground truth."""
     out = rows.copy()
@@ -154,7 +164,7 @@ class TestBatchedTrainerExactness:
         ]
         ref_rows, ref_losses = _serial_reference(model, rows, batch_lists, lr=0.2)
         got = rows.copy()
-        losses = BatchedTrainer(model, lr=0.2).train_block(got, batch_lists)
+        losses = BatchedTrainer(model, lr=0.2).train_block(got, *_as_xy(batch_lists))
         np.testing.assert_array_equal(got, ref_rows)
         np.testing.assert_array_equal(losses, ref_losses)
 
@@ -172,7 +182,7 @@ class TestBatchedTrainerExactness:
         ]
         ref_rows, ref_losses = _serial_reference(model, rows, batch_lists, lr=0.1)
         got = rows.copy()
-        losses = BatchedTrainer(model, lr=0.1).train_block(got, batch_lists)
+        losses = BatchedTrainer(model, lr=0.1).train_block(got, *_as_xy(batch_lists))
         np.testing.assert_array_equal(got, ref_rows)
         np.testing.assert_array_equal(losses, ref_losses)
 
@@ -187,7 +197,7 @@ class TestBatchedTrainerExactness:
             model, rows, batch_lists, lr=0.3, weight_decay=0.05
         )
         got = rows.copy()
-        BatchedTrainer(model, lr=0.3, weight_decay=0.05).train_block(got, batch_lists)
+        BatchedTrainer(model, lr=0.3, weight_decay=0.05).train_block(got, *_as_xy(batch_lists))
         np.testing.assert_array_equal(got, ref_rows)
 
     def test_ragged_batch_sizes_grouped_exactly(self):
@@ -202,13 +212,13 @@ class TestBatchedTrainerExactness:
         ]
         ref_rows, ref_losses = _serial_reference(model, rows, batch_lists, lr=0.2)
         got = rows.copy()
-        losses = BatchedTrainer(model, lr=0.2).train_block(got, batch_lists)
+        losses = BatchedTrainer(model, lr=0.2).train_block(got, *_as_xy(batch_lists))
         np.testing.assert_array_equal(got, ref_rows)
         np.testing.assert_array_equal(losses, ref_losses)
 
     def test_empty_block_is_noop(self):
         model = small_mlp(8, 3, hidden=4)
         out = BatchedTrainer(model, lr=0.1).train_block(
-            np.empty((0, model.num_parameters())), []
+            np.empty((0, model.num_parameters())), [], []
         )
         assert out.shape == (0,)

@@ -70,12 +70,9 @@ class TestParallelEquivalence:
 
         dim = model.num_parameters()
         rows = np.tile(parameter_vector(model), (2, 1))
-        batch_lists = [
-            [(rng.normal(size=(4, 16)), rng.integers(0, 3, size=4))
-             for _ in range(2)]
-            for _ in range(2)
-        ]
-        out = train_rows_serial(model, rows, batch_lists, lr=0.1)
+        x = rng.normal(size=(2, 2, 4, 16))  # (rows, steps, batch, features)
+        y = rng.integers(0, 3, size=(2, 2, 4))
+        out = train_rows_serial(model, rows, x, y, lr=0.1)
         assert out.shape == rows.shape
         assert not np.allclose(out, rows)  # training moved the params
         # identical batches for both rows would give identical outputs;
